@@ -1,0 +1,1 @@
+"""End-to-end benchmark and per-layer ledger; see README.md."""
