@@ -138,6 +138,11 @@ class NoiseModel:
             self._phase_rng.lognormal(0.0, self.config.run_sigma[mode])
         )
         self.n_nodes = n_nodes
+        # Constant per model, hoisted out of the per-phase draw: the
+        # product keeps the left-to-right order of the full expression
+        # ``job * run * node * phase``, so the result is bit-identical.
+        self._static_factors = self.job_factor * self.run_factor * self.node_factors
+        self._phase_sigma = self.config.phase_sigma[mode]
 
     @classmethod
     def draw_job_factor(
@@ -168,11 +173,13 @@ class NoiseModel:
         balancer uses — filters it out. This is precisely why SeeSAw
         with w=1 can over-react to anomalies (§VII-C1) while the
         time-aware scheme is blind to them.
+
+        When no burst fires, ``spiked is clean`` (one array).
         """
         phase = self._phase_rng.lognormal(
-            0.0, self.config.phase_sigma[self.mode], size=self.n_nodes
+            0.0, self._phase_sigma, size=self.n_nodes
         )
-        clean = self.job_factor * self.run_factor * self.node_factors * phase
+        clean = self._static_factors * phase
         spiked = clean
         if (
             self.config.spike_prob > 0

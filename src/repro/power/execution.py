@@ -17,6 +17,7 @@ the spin-wait power (:attr:`NodeSpec.p_wait_watts`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +26,7 @@ from repro.cluster.node import NodeSpec
 from repro.power.model import OperatingPoint, PhaseKind, operating_point
 from repro.power.rapl import RaplDomainArray
 
-__all__ = ["DrawSegment", "PhaseOutcome", "execute_phase", "wait_energy"]
+__all__ = ["DrawSegment", "PhaseOutcome", "execute_phase", "phase_rate", "wait_energy"]
 
 
 def _operating_point_cached(
@@ -57,6 +58,17 @@ def _operating_point_cached(
             op = operating_point(kind, node, caps)
         cache[key] = op
     return op
+
+
+def phase_rate(
+    domain: RaplDomainArray, kind: PhaseKind, node: NodeSpec, caps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node ``(speed, draw_watts)`` of ``kind`` under ``caps``, the
+    domain's current effective caps. Speed is floored at 1e-12 so a
+    starved node still finishes; ``draw_watts`` is shared and
+    read-only."""
+    op = _operating_point_cached(domain, kind, node, caps)
+    return np.maximum(op.speed, 1e-12), op.draw_watts
 
 
 @dataclass(frozen=True)
@@ -112,8 +124,10 @@ def execute_phase(
     ``noise_factors`` multiplies each node's effective work (OS noise,
     allocation effects — see :mod:`repro.cluster.noise`).
     """
-    if work_seconds < 0:
-        raise ValueError("negative work")
+    if not 0.0 <= work_seconds < math.inf:
+        raise ValueError(
+            f"phase work must be finite and non-negative, got {work_seconds}"
+        )
     n = domain.n_nodes
     noise = np.broadcast_to(np.asarray(noise_factors, dtype=float), (n,))
     remaining = work_seconds * noise  # per-node work still to do (owned)
@@ -130,15 +144,14 @@ def execute_phase(
     # (same np.where forms, same operand order) to stay bit-identical.
     if not collect_segments and active.any():
         caps, t_change = domain.segment_at(t)
-        op = _operating_point_cached(domain, kind, node, caps)
-        speed = np.maximum(op.speed, 1e-12)
+        speed, draw = phase_rate(domain, kind, node, caps)
         finish_at = np.where(active, t + remaining / speed, t)
         # max over all == max over active: inactive entries hold t and
         # every active completion is >= t
         if float(finish_at.max()) <= t_change:
             active_time = np.where(active, finish_at - t, 0.0)
             durations = np.where(active, finish_at - t_start, durations)
-            energy += active_time * op.draw_watts
+            energy += active_time * draw
             return PhaseOutcome(
                 durations=durations, energy_joules=energy, segments=segments
             )
@@ -149,8 +162,7 @@ def execute_phase(
         if guard > 10_000:
             raise RuntimeError("phase executor failed to converge")
         caps, t_change = domain.segment_at(t)
-        op = _operating_point_cached(domain, kind, node, caps)
-        speed = np.maximum(op.speed, 1e-12)
+        speed, draw = phase_rate(domain, kind, node, caps)
         finish_at = np.where(active, t + remaining / speed, t)
         # The segment ends at the earliest of: next cap change, or the
         # last active node's completion within this cap regime (max over
@@ -177,13 +189,13 @@ def execute_phase(
         durations = np.where(
             done_in_seg, finish_at - t_start, durations
         )
-        energy += active_time * op.draw_watts
+        energy += active_time * draw
         if collect_segments:
             segments.append(
                 DrawSegment(
                     t0=t,
                     t1=seg_end,
-                    draw_watts=np.where(active, op.draw_watts, 0.0).copy(),
+                    draw_watts=np.where(active, draw, 0.0).copy(),
                 )
             )
         active = still_going

@@ -337,11 +337,13 @@ def validate_spec(spec: ScenarioSpec, where: str | None = None) -> list[str]:
                 f"{where}.job.analyses: unknown analysis {name!r}; "
                 f"choose from {', '.join(sorted(known_analyses))}"
             )
-    for name in spec.job.analysis_intervals:
-        if name not in known_analyses:
-            problems.append(
-                f"{where}.job.analysis_intervals: unknown analysis {name!r}"
-            )
+    from repro.workloads.lammps_proxy import analysis_interval_problems
+
+    bad_intervals = analysis_interval_problems(
+        spec.job.analyses, spec.job.analysis_intervals
+    )
+    for name, msg in bad_intervals.items():
+        problems.append(f"{where}.job.analysis_intervals.{name}: {msg}")
 
     from repro.power.rapl import CapMode
 

@@ -12,7 +12,9 @@ Timeline of one synchronization interval (paper §V, §VI-B):
 1. both partitions run their independent work programs (simulation:
    ``j`` Verlet steps; analysis: the analyses due at this step);
    per-node durations come from :func:`repro.power.execution
-   .execute_phase` under the current caps and noise draws;
+   .execute_phase` under the current caps and noise draws — or, once
+   no cap change is pending for the rest of the interval, from the
+   same closed-form expressions evaluated inline;
 2. each rank calls ``poli_power_alloc`` on *arrival* — the allgather
    inside synchronizes everyone, so the partition work time is the
    slowest node's arrival (the paper's measurement);
@@ -37,6 +39,7 @@ Measurement model details:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +48,7 @@ from repro.cluster.machine import MachineSpec, theta
 from repro.cluster.noise import NoiseConfig, NoiseModel
 from repro.core.controller import PowerController
 from repro.core.types import Observation, PartitionMeasurement
-from repro.power.execution import execute_phase
+from repro.power.execution import execute_phase, phase_rate
 from repro.power.rapl import CapMode, RaplDomainArray
 from repro.power.trace import PowerTrace
 from repro.scenario.registry import register_workload
@@ -54,6 +57,7 @@ from repro.util.rng import RngStream
 from repro.workloads.profiles import (
     WorkPhase,
     analysis_work_phases,
+    is_setup_step,
     sim_step_phases,
     snapshot_bytes_per_node,
 )
@@ -97,6 +101,31 @@ def attribution_leak(n_total_nodes: int) -> tuple[float, float]:
     return sim_leak, 0.25
 
 
+def analysis_interval_problems(
+    analyses: tuple[str, ...], intervals: dict
+) -> dict[str, str]:
+    """What is wrong with a job's ``analysis_intervals`` map, by key.
+
+    Every key must name one of the job's ``analyses`` and every
+    interval must be an ``int >= 1`` (a zero interval would divide by
+    zero mid-run, a typo'd key would silently run the analysis at
+    every synchronization).
+    """
+    problems = {}
+    for name, interval in intervals.items():
+        if name not in analyses:
+            problems[name] = (
+                f"not one of the job's analyses ({', '.join(analyses)})"
+            )
+        elif (
+            isinstance(interval, bool)
+            or not isinstance(interval, numbers.Integral)
+            or interval < 1
+        ):
+            problems[name] = f"must be an int >= 1, got {interval!r}"
+    return problems
+
+
 @dataclass(frozen=True)
 class JobConfig:
     """One LAMMPS in-situ job (paper §VII parameter set)."""
@@ -131,6 +160,16 @@ class JobConfig:
             )
         if not self.analyses:
             raise ValueError("need at least one analysis")
+        bad_intervals = analysis_interval_problems(
+            self.analyses, self.analysis_intervals
+        )
+        if bad_intervals:
+            raise ValueError(
+                "; ".join(
+                    f"analysis_intervals[{name!r}]: {msg}"
+                    for name, msg in bad_intervals.items()
+                )
+            )
         if not math.isfinite(self.budget_per_node_w):
             raise ValueError(
                 f"budget_per_node_w must be finite, got "
@@ -244,32 +283,66 @@ class _Partition:
         frontier keeps the cap-splitting exact enough while staying
         vectorized (the 10 ms actuation offset is tiny against multi-
         second phases).
+
+        While a cap change is pending, each phase goes through
+        :func:`execute_phase`, which splits it at the change. Once none
+        is pending the caps are fixed for the rest of the program, so
+        each phase kind's ``(speed, draw)`` is resolved once and every
+        remaining phase is stepped inline with the executor's single-
+        segment expressions: ``(t + remaining / speed) - t`` is kept as
+        written (it is not bit-equal to ``remaining / speed``), and the
+        noise is still drawn once per phase in the same RNG order.
         """
-        times = np.zeros(self.n)
-        clean_times = np.zeros(self.n)
-        energy = np.zeros(self.n)
+        n = self.n
+        times = np.zeros(n)
+        clean_times = np.zeros(n)
+        energy = np.zeros(n)
         t = t_start
+        #: effective caps once no change is pending (None before that)
+        fixed_caps = None
+        rates: dict = {}
         for phase in phases:
             spiked, clean = self.noise.phase_factor_pair()
-            outcome = execute_phase(
-                phase.kind,
-                self.node,
-                phase.work_s,
-                self.domain,
-                t_start=t,
-                noise_factors=spiked,
-            )
-            if self.trace is not None and outcome.slowest > 0:
-                mean_dur = float(outcome.durations.mean())
+            if fixed_caps is None:
+                caps, t_change = self.domain.segment_at(t)
+                if t_change == math.inf:
+                    fixed_caps = caps
+            if fixed_caps is None:
+                outcome = execute_phase(
+                    phase.kind,
+                    self.node,
+                    phase.work_s,
+                    self.domain,
+                    t_start=t,
+                    noise_factors=spiked,
+                )
+                durations, joules = outcome.durations, outcome.energy_joules
+            else:
+                rate = rates.get(phase.kind)
+                if rate is None:
+                    rate = rates[phase.kind] = phase_rate(
+                        self.domain, phase.kind, self.node, fixed_caps
+                    )
+                speed, draw = rate
+                durations = (t + (phase.work_s * spiked) / speed) - t
+                joules = durations * draw
+            if self.trace is not None and float(durations.max()) > 0:
+                mean_dur = float(durations.mean())
                 if mean_dur > 0:
-                    draw = float(outcome.energy_joules.mean()) / mean_dur
-                    self.trace.add(t, t + mean_dur, draw)
-            times += outcome.durations
+                    mean_draw = float(joules.mean()) / mean_dur
+                    self.trace.add(t, t + mean_dur, mean_draw)
+            times += durations
             # duration scales linearly with the noise factor, so the
-            # clean view is an exact rescale per node
-            clean_times += outcome.durations * (clean / spiked)
-            energy += outcome.energy_joules
-            t = t_start + float(times.mean())
+            # clean view is an exact rescale per node (a factor of
+            # exactly 1.0 when no spike fired)
+            if clean is spiked:
+                clean_times += durations
+            else:
+                clean_times += durations * (clean / spiked)
+            energy += joules
+            # times.mean() without its Python wrapper: the same pairwise
+            # sum divided by n, so the frontier is bit-identical
+            t = t_start + float(np.add.reduce(times)) / n
         return times, clean_times, energy
 
     def wait_draw(self, t: float) -> np.ndarray:
@@ -380,6 +453,10 @@ class ProxyJobSession:
         self.t = 0.0
         self.step_index = 0
         self.records: list[SyncRecord] = []
+        #: (sim, ana) phase programs by (setup step?, analyses due)
+        self._programs: dict[
+            tuple[bool, tuple[str, ...]], tuple[list[WorkPhase], list[WorkPhase]]
+        ] = {}
 
         # Phase telemetry rides the ambient tracer when one is enabled
         # (campaign workers install a shipping tracer, `run --trace` an
@@ -431,6 +508,27 @@ class ProxyJobSession:
                 self.ana.domain.requested_caps * scale, now=self.t
             )
 
+    def _phase_programs(
+        self, step: int, due: list[str]
+    ) -> tuple[list[WorkPhase], list[WorkPhase]]:
+        """The (sim, ana) phase programs of synchronization ``step``.
+
+        They depend on the step only through the setup overhead and the
+        analyses due, so each distinct pair is built once per job.
+        """
+        key = (is_setup_step(step), tuple(due))
+        programs = self._programs.get(key)
+        if programs is None:
+            cfg = self.cfg
+            sim = sim_step_phases(cfg.dim, cfg.n_sim, cfg.n_nodes, step) * cfg.j
+            ana = (
+                analysis_work_phases(due, cfg.dim, cfg.n_ana, cfg.n_nodes)
+                if due
+                else []
+            )
+            programs = self._programs[key] = (sim, ana)
+        return programs
+
     # ------------------------------------------------------------------
     def step(self) -> SyncRecord:
         """Advance one synchronization interval."""
@@ -443,23 +541,10 @@ class ProxyJobSession:
         overhead, sync_s = self._overhead, self._sync_s
 
         # --- independent work -----------------------------------------
-        sim_phases: list[WorkPhase] = []
-        for _ in range(cfg.j):
-            sim_phases.extend(
-                sim_step_phases(cfg.dim, cfg.n_sim, cfg.n_nodes, step)
-            )
         due = _analyses_due(cfg, step)
-        ana_phases = (
-            analysis_work_phases(due, cfg.dim, cfg.n_ana, cfg.n_nodes)
-            if due
-            else []
-        )
+        sim_phases, ana_phases = self._phase_programs(step, due)
         sim_times, sim_clean, sim_energy = sim.run_program(sim_phases, t0)
         ana_times, ana_clean, ana_energy = ana.run_program(ana_phases, t0)
-        if not len(ana_phases):
-            ana_times = np.zeros(cfg.n_ana)
-            ana_clean = np.zeros(cfg.n_ana)
-            ana_energy = np.zeros(cfg.n_ana)
 
         sim_work = float(sim_times.max())
         ana_work = float(ana_times.max()) if due else 0.0
@@ -473,20 +558,18 @@ class ProxyJobSession:
         # the two; the controller sees only the folded totals below)
         sim_work_j, ana_work_j = sim_energy, ana_energy
         t_arrive = t0 + work
-        sim_energy = sim_energy + sim_wait * sim.wait_draw(t_arrive)
-        ana_energy = ana_energy + ana_wait * ana.wait_draw(t_arrive)
+        sim_wait_draw = sim.wait_draw(t_arrive)
+        ana_wait_draw = ana.wait_draw(t_arrive)
+        sim_energy = sim_energy + sim_wait * sim_wait_draw
+        ana_energy = ana_energy + ana_wait * ana_wait_draw
 
         # trace the waiting tail of the faster partition (Fig. 1's idle
         # plateau at ~105 W)
         if cfg.collect_traces:
             sim_mean_end = t0 + float(sim_times.mean())
             ana_mean_end = t0 + float(ana_times.mean())
-            sim.add_trace(
-                sim_mean_end, t_arrive, float(sim.wait_draw(t_arrive).mean())
-            )
-            ana.add_trace(
-                ana_mean_end, t_arrive, float(ana.wait_draw(t_arrive).mean())
-            )
+            sim.add_trace(sim_mean_end, t_arrive, float(sim_wait_draw.mean()))
+            ana.add_trace(ana_mean_end, t_arrive, float(ana_wait_draw.mean()))
 
         # --- allocation + synchronization ------------------------------
         # With no analysis due this step, there is no simulation↔
@@ -497,8 +580,8 @@ class ProxyJobSession:
         step_sync_s = sync_s if due else 0.0
         step_overhead = overhead if due else 0.0
         interval = work + step_overhead + step_sync_s
-        comm_draw_sim = np.minimum(103.0, sim.wait_draw(t_arrive))
-        comm_draw_ana = np.minimum(103.0, ana.wait_draw(t_arrive))
+        comm_draw_sim = np.minimum(103.0, sim_wait_draw)
+        comm_draw_ana = np.minimum(103.0, ana_wait_draw)
         sim_energy = sim_energy + (step_overhead + step_sync_s) * comm_draw_sim
         ana_energy = ana_energy + (step_overhead + step_sync_s) * comm_draw_ana
         if cfg.collect_traces:

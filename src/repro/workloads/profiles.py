@@ -51,6 +51,7 @@ __all__ = [
     "analysis_work_phases",
     "atoms_total",
     "comm_scale",
+    "is_setup_step",
     "sim_step_phases",
     "snapshot_bytes_per_node",
 ]
@@ -126,8 +127,11 @@ class WorkPhase:
     work_s: float  # seconds at base frequency, speed 1.0
 
     def __post_init__(self) -> None:
-        if self.work_s < 0:
-            raise ValueError("negative work")
+        if not 0.0 <= self.work_s < math.inf:
+            raise ValueError(
+                f"{self.kind.name}: work must be finite and non-negative, "
+                f"got {self.work_s}"
+            )
 
 
 def atoms_total(dim: int) -> int:
@@ -153,17 +157,23 @@ def snapshot_bytes_per_node(dim: int, n_sim_nodes: int) -> int:
     return int(atoms_total(dim) / n_sim_nodes * 6 * 8)
 
 
+def is_setup_step(sync_step: int) -> bool:
+    """Whether synchronization ``sync_step`` carries the simulation's
+    setup overhead (the first ``SETUP_OVERHEAD_STEPS``, counted from 1)."""
+    return 1 <= sync_step <= SETUP_OVERHEAD_STEPS
+
+
 def sim_step_phases(
     dim: int, n_sim_nodes: int, n_total_nodes: int, sync_step: int = 10
 ) -> list[WorkPhase]:
     """Phase program of ONE Verlet step on each simulation node.
 
-    ``sync_step`` is the synchronization index (0-based); the first two
-    carry the setup overhead observed in the paper's Fig. 4d.
+    ``sync_step`` is the synchronization index; see :func:`is_setup_step`
+    for which ones carry the setup overhead observed in Fig. 4d.
     """
     per_node = atoms_total(dim) / n_sim_nodes
     budget = SIM_SECONDS_PER_ATOM * per_node
-    if 1 <= sync_step <= SETUP_OVERHEAD_STEPS:
+    if is_setup_step(sync_step):
         budget *= SETUP_OVERHEAD_FACTOR
     scale = comm_scale(n_total_nodes)
     phases = [

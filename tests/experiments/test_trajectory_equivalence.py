@@ -12,12 +12,15 @@ documented behavior change.
 """
 
 import hashlib
+from dataclasses import replace
 
+from repro.cluster.noise import NoiseConfig
 from repro.cluster.node import THETA_NODE
 from repro.core import SeeSAwController, StaticController
 from repro.experiments.runner import build_controller
 from repro.insitu.coupler import InsituConfig, run_insitu
-from repro.workloads import JobConfig, run_job
+from repro.power.rapl import CapMode
+from repro.workloads import JobConfig, ProxyJobSession, run_job
 
 
 def _digest(values) -> str:
@@ -106,3 +109,89 @@ def test_insitu_trajectories_pinned():
         )
         result = run_insitu(cfg, controller)
         assert insitu_fingerprint(result) == EXPECTED_INSITU[name], name
+
+
+# ---------------------------------------------------------------------------
+# Proxy-stepper branches: power traces, cap modes, spiked phases, j > 1 with
+# mixed analysis intervals, non-uniform caps and mid-run budget changes.
+# Captured on the per-phase stepper that preceded the fused per-interval
+# phase program; the fused program must reproduce them bit for bit.
+# ---------------------------------------------------------------------------
+EXPECTED_TRACES = {
+    "job": "5edc22b275ecaa64",
+    "sim_trace": "65e64415a9c803bb",
+    "ana_trace": "be9ea7aa3db229e1",
+}
+EXPECTED_CAP_MODE = {
+    "none": "6189625ee045f46b",
+    "long_short": "8f239b1498536a7a",
+}
+EXPECTED_ALWAYS_SPIKED = "5afbbdec807644ab"
+EXPECTED_J2_MIXED_INTERVALS = "ff6bba7238615f7f"
+EXPECTED_POWER_AWARE_128 = "adf5c7913d8405c1"
+EXPECTED_SET_BUDGET = "925b566c93cf00ff"
+
+
+def trace_fingerprint(trace) -> str:
+    return _digest([v for seg in trace.segments() for v in seg])
+
+
+def test_proxy_power_traces_pinned():
+    cfg = replace(_job16_cfg(), n_verlet_steps=20, collect_traces=True)
+    result = run_job(cfg, build_controller("seesaw", cfg))
+    got = {
+        "job": job_fingerprint(result),
+        "sim_trace": trace_fingerprint(result.sim_trace),
+        "ana_trace": trace_fingerprint(result.ana_trace),
+    }
+    assert got == EXPECTED_TRACES
+
+
+def test_proxy_cap_modes_pinned():
+    for mode in (CapMode.NONE, CapMode.LONG_SHORT):
+        cfg = replace(_job16_cfg(), cap_mode=mode)
+        result = run_job(cfg, build_controller("seesaw", cfg))
+        assert job_fingerprint(result) == EXPECTED_CAP_MODE[mode.value], mode
+
+
+def test_proxy_always_spiked_pinned():
+    """Every phase takes the spiked != clean branch."""
+    cfg = replace(_job16_cfg(), noise_config=NoiseConfig(spike_prob=1.0))
+    result = run_job(cfg, build_controller("seesaw", cfg))
+    assert job_fingerprint(result) == EXPECTED_ALWAYS_SPIKED
+
+
+def test_proxy_j2_mixed_intervals_pinned():
+    cfg = JobConfig(
+        analyses=("rdf", "full_msd", "vacf"),
+        analysis_intervals={"full_msd": 3, "vacf": 2},
+        dim=16,
+        n_nodes=16,
+        j=2,
+        n_verlet_steps=30,
+        seed=5,
+    )
+    result = run_job(cfg, build_controller("seesaw", cfg))
+    assert job_fingerprint(result) == EXPECTED_J2_MIXED_INTERVALS
+
+
+def test_proxy_power_aware_128_nodes_pinned():
+    """Power-aware redistribution leaves per-node caps non-uniform."""
+    cfg = JobConfig(
+        analyses=("full_msd",), dim=16, n_nodes=128, n_verlet_steps=20, seed=3
+    )
+    result = run_job(cfg, build_controller("power-aware", cfg))
+    assert job_fingerprint(result) == EXPECTED_POWER_AWARE_128
+
+
+def test_proxy_set_budget_mid_run_pinned():
+    cfg = _job16_cfg()
+    session = ProxyJobSession(cfg, build_controller("seesaw", cfg))
+    for _ in range(8):
+        session.step()
+    session.set_budget(cfg.budget_w * 0.9)
+    for _ in range(8):
+        session.step()
+    session.set_budget(cfg.budget_w * 1.2)
+    result = session.run()
+    assert job_fingerprint(result) == EXPECTED_SET_BUDGET

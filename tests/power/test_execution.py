@@ -82,6 +82,12 @@ def test_negative_work_rejected():
         execute_phase(COMPUTE, THETA_NODE, -1.0, make_domain(), 0.0)
 
 
+@pytest.mark.parametrize("work", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_work_rejected(work):
+    with pytest.raises(ValueError, match="finite"):
+        execute_phase(COMPUTE, THETA_NODE, work, make_domain(), 0.0)
+
+
 def test_segments_collected_when_requested():
     dom = make_domain(n=1, cap=98.0, delay=1.0)
     dom.request_caps(215.0, now=0.0)

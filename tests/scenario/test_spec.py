@@ -180,3 +180,30 @@ def test_plain_cells_advance_run_index():
     cells = spec.to_cells()
     assert [c.run_index for c in cells] == [5, 6, 7]
     assert all(c.approach == spec.approach for c in cells)
+
+
+def test_validate_analysis_intervals_is_path_qualified():
+    spec = ScenarioSpec(
+        name="t",
+        job=JobParams(
+            analyses=("full_msd", "vacf"),
+            analysis_intervals={"ful_msd": 4, "full_msd": 0, "vacf": -2},
+        ),
+    )
+    problems = validate_spec(spec)
+    assert any(p.startswith("t.job.analysis_intervals.ful_msd:") for p in problems)
+    assert any(
+        p.startswith("t.job.analysis_intervals.full_msd:") and ">= 1" in p
+        for p in problems
+    )
+    assert any(p.startswith("t.job.analysis_intervals.vacf:") for p in problems)
+
+
+def test_validate_analysis_intervals_rejects_a_float_from_json():
+    doc = load_suite("table2").specs[0].to_json()
+    doc["job"]["analysis_intervals"] = {"full_msd": 4.0}
+    problems = validate_spec(ScenarioSpec.from_json(doc))
+    assert problems == [
+        "table2/msd-w1/j4.job.analysis_intervals.full_msd: "
+        "must be an int >= 1, got 4.0"
+    ]

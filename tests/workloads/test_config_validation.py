@@ -58,3 +58,23 @@ def test_budget_at_the_floor_is_allowed():
     # fig8 sweeps down to exactly the 98 W Theta floor
     cfg = JobConfig(budget_per_node_w=98.0)
     assert math.isclose(cfg.budget_per_node_w, 98.0)
+
+
+@pytest.mark.parametrize("interval", [0, -2, 2.0, True, None])
+def test_rejects_analysis_interval_that_is_not_a_positive_int(interval):
+    with pytest.raises(ValueError, match=r"analysis_intervals\['full_msd'\]"):
+        JobConfig(analysis_intervals={"full_msd": interval})
+
+
+def test_rejects_analysis_interval_for_an_analysis_the_job_does_not_run():
+    with pytest.raises(ValueError, match="ful_msd.*not one of the job's analyses"):
+        JobConfig(analysis_intervals={"ful_msd": 4})
+    with pytest.raises(ValueError, match="vacf"):
+        JobConfig(analyses=("full_msd",), analysis_intervals={"vacf": 2})
+
+
+def test_analysis_intervals_for_the_job_analyses_are_allowed():
+    JobConfig(
+        analyses=("rdf", "full_msd"),
+        analysis_intervals={"full_msd": 5, "rdf": 1},
+    )

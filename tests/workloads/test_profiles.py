@@ -6,6 +6,7 @@ from repro.cluster.node import THETA_NODE
 from repro.power.model import operating_point
 from repro.workloads.profiles import (
     PHASES,
+    WorkPhase,
     analysis_work_phases,
     atoms_total,
     comm_scale,
@@ -138,6 +139,12 @@ def test_expand_composites():
 def test_unknown_analysis_rejected():
     with pytest.raises(ValueError):
         analysis_work_phases(["bogus"], 16, 64, 128)
+
+
+@pytest.mark.parametrize("work", [-1.0, float("nan"), float("inf"), float("-inf")])
+def test_work_phase_rejects_negative_or_non_finite_work(work):
+    with pytest.raises(ValueError, match="force: work must be finite"):
+        WorkPhase(PHASES["force"], work)
 
 
 def test_sequential_composition_adds_time():
