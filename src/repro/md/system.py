@@ -70,7 +70,7 @@ class ParticleSystem:
     positions: np.ndarray  # (n, 3) wrapped
     velocities: np.ndarray  # (n, 3)
     types: np.ndarray  # (n,) int
-    molecule_ids: np.ndarray  # (n,) int; -1 for monoatomic species
+    molecule_ids: np.ndarray  # (n,) int; shared id = no pair term, ions unique
     bonds: np.ndarray  # (nb, 2) int atom index pairs
     images: np.ndarray = field(default=None)  # (n, 3) int
 

@@ -122,14 +122,63 @@ def execute_phase(
     """Execute ``work_seconds`` of ``kind`` on every node of ``domain``.
 
     ``noise_factors`` multiplies each node's effective work (OS noise,
-    allocation effects — see :mod:`repro.cluster.noise`).
+    allocation effects — see :mod:`repro.cluster.noise`); every factor
+    must be finite and non-negative.
     """
     if not 0.0 <= work_seconds < math.inf:
         raise ValueError(
             f"phase work must be finite and non-negative, got {work_seconds}"
         )
     n = domain.n_nodes
+    if n == 1 and not collect_segments:
+        # Single-node domain (every per-rank NodeRuntime): the general
+        # loop below in Python floats. IEEE + - * / are identical in
+        # numpy float64 and float, so the results are bit-equal.
+        if isinstance(noise_factors, float):
+            noise = noise_factors
+        else:
+            noise = float(
+                np.broadcast_to(np.asarray(noise_factors, dtype=float), (1,))[0]
+            )
+        if not 0.0 <= noise < math.inf:
+            raise ValueError(
+                f"noise factors must be finite and non-negative, got {noise}"
+            )
+        remaining = work_seconds * noise
+        duration = energy = 0.0
+        t = t_start
+        guard = 0
+        while remaining > 0.0:
+            guard += 1
+            if guard > 10_000:
+                raise RuntimeError("phase executor failed to converge")
+            caps, t_change = domain.segment_at(t)
+            op = _operating_point_cached(domain, kind, node, caps)
+            speed = max(float(op.speed[0]), 1e-12)
+            draw = float(op.draw_watts[0])
+            finish_at = t + remaining / speed
+            seg_end = min(t_change, finish_at)
+            if seg_end <= t:
+                if t_change <= t:
+                    continue
+                seg_end = t_change
+            if finish_at <= seg_end:
+                energy += (finish_at - t) * draw
+                duration = finish_at - t_start
+                break
+            span = seg_end - t
+            remaining = remaining - span * speed
+            energy += span * draw
+            t = seg_end
+        return PhaseOutcome(
+            durations=np.array([duration]), energy_joules=np.array([energy])
+        )
+
     noise = np.broadcast_to(np.asarray(noise_factors, dtype=float), (n,))
+    if not (0.0 <= noise.min() and noise.max() < math.inf):
+        raise ValueError(
+            f"noise factors must be finite and non-negative, got {noise!r}"
+        )
     remaining = work_seconds * noise  # per-node work still to do (owned)
     durations = np.zeros(n)
     energy = np.zeros(n)
@@ -137,25 +186,6 @@ def execute_phase(
 
     t = t_start
     active = remaining > 0.0
-
-    # Fast path: no cap change lands before the slowest node finishes,
-    # so the whole phase resolves in one closed-form pass. The float
-    # expressions mirror the general loop's first iteration exactly
-    # (same np.where forms, same operand order) to stay bit-identical.
-    if not collect_segments and active.any():
-        caps, t_change = domain.segment_at(t)
-        speed, draw = phase_rate(domain, kind, node, caps)
-        finish_at = np.where(active, t + remaining / speed, t)
-        # max over all == max over active: inactive entries hold t and
-        # every active completion is >= t
-        if float(finish_at.max()) <= t_change:
-            active_time = np.where(active, finish_at - t, 0.0)
-            durations = np.where(active, finish_at - t_start, durations)
-            energy += active_time * draw
-            return PhaseOutcome(
-                durations=durations, energy_joules=energy, segments=segments
-            )
-
     guard = 0
     while active.any():
         guard += 1

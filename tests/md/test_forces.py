@@ -6,7 +6,9 @@ import pytest
 from repro.md.box import Box
 from repro.md.forces import ForceField
 from repro.md.neighbor import build_neighbor_list
-from repro.md.system import ParticleSystem, Species, water_ion_box
+from repro.md.system import CHARGES, ParticleSystem, Species, water_ion_box
+from repro.md.verlet import VelocityVerlet
+from repro.util.scatter import scatter_add_pairs
 
 
 def two_atom_system(r, types=(Species.CAT, Species.AN), edge=20.0):
@@ -132,3 +134,95 @@ def test_pair_count_reported():
     res, _ = compute(sys_)
     assert res.pair_count > 0
     assert res.bond_count == 1024
+
+
+# ----------------------------------------------------------------------
+# Equivalence with the direct per-pair formulation. The kernel builds a
+# per-list pair table and hoists the per-type-pair constants; this copy
+# of the direct per-step expressions pins that the results did not move.
+def _direct_pair_forces(ff, system, nlist):
+    pos = system.positions
+    pairs = nlist.pairs
+    if len(pairs) == 0:
+        return np.zeros_like(pos), 0.0, 0
+    i, j = pairs[:, 0], pairs[:, 1]
+    dr = system.box.minimum_image(pos[i] - pos[j])
+    r2 = (dr**2).sum(axis=1)
+    within = r2 <= ff.cutoff**2
+    same_mol = system.molecule_ids[i] == system.molecule_ids[j]
+    keep = within & ~same_mol
+    i, j, dr, r2 = i[keep], j[keep], dr[keep], r2[keep]
+    if len(i) == 0:
+        return np.zeros_like(pos), 0.0, 0
+    r = np.sqrt(r2)
+    ti, tj = system.types[i], system.types[j]
+    eps = ff.eps_pair[ti, tj]
+    sig = ff.sig_pair[ti, tj]
+    sr6 = (sig**2 / r2) ** 3
+    sr12 = sr6**2
+    sr6_c = (sig / ff.cutoff) ** 6
+    e_lj = 4.0 * eps * (sr12 - sr6) - 4.0 * eps * (sr6_c**2 - sr6_c)
+    f_lj_over_r = 24.0 * eps * (2.0 * sr12 - sr6) / r2
+    qq = ff.coulomb_strength * CHARGES[ti] * CHARGES[tj]
+    screen = np.exp(-ff.kappa * r)
+    e_coul = qq * screen / r
+    f_coul_over_r = qq * screen * (1.0 + ff.kappa * r) / (r2 * r)
+    f_over_r = f_lj_over_r + f_coul_over_r
+    fvec = f_over_r[:, None] * dr
+    forces = scatter_add_pairs(len(pos), i, j, fvec)
+    return forces, float(np.sum(e_lj + e_coul)), len(i)
+
+
+def assert_matches_direct(ff, system, nlist):
+    forces, energy, count = ff._pair_forces(system, nlist)
+    ref_forces, ref_energy, ref_count = _direct_pair_forces(ff, system, nlist)
+    assert np.array_equal(forces, ref_forces)
+    assert energy == ref_energy
+    assert count == ref_count
+
+
+def test_pair_kernel_bit_identical_over_verlet_run():
+    system = water_ion_box(dim=1, seed=11, temperature=1.5)
+    vv = VelocityVerlet(system, thermostat_t=1.5)
+    for _ in range(64):
+        vv.step()
+        assert_matches_direct(vv.ff, system, vv.neighbor_list)
+    assert vv.rebuild_count >= 2
+
+
+def test_pair_kernel_empty_pair_list():
+    sys_ = two_atom_system(8.0)  # far beyond cutoff + skin
+    ff = ForceField()
+    nl = build_neighbor_list(sys_.positions, sys_.box, ff.cutoff)
+    assert nl.n_pairs == 0
+    assert_matches_direct(ff, sys_, nl)
+    assert ff.compute(sys_, nl).pair_count == 0
+
+
+def test_pair_kernel_all_pairs_beyond_cutoff():
+    ff = ForceField()
+    sys_ = two_atom_system(ff.cutoff + 0.1)  # in the skin, not the sphere
+    nl = build_neighbor_list(sys_.positions, sys_.box, ff.cutoff, skin=0.3)
+    assert nl.n_pairs == 1
+    assert_matches_direct(ff, sys_, nl)
+    res = ff.compute(sys_, nl)
+    assert res.pair_count == 0
+    assert not res.forces.any()
+
+
+def test_rebuilt_list_gets_a_fresh_pair_table():
+    system = water_ion_box(dim=1, seed=3)
+    ff = ForceField()
+    nl = build_neighbor_list(system.positions, system.box, ff.cutoff)
+    ff.compute(system, nl)
+    table = ff._pair_table(system, nl)
+    assert ff._pair_table(system, nl) is table  # reused for the same list
+
+    system.positions = system.box.wrap(system.positions + 0.4)
+    rebuilt = build_neighbor_list(system.positions, system.box, ff.cutoff)
+    assert ff._pair_table(system, rebuilt) is not table
+    assert_matches_direct(ff, system, rebuilt)
+    # a copied system (fresh type/molecule arrays) also gets its own
+    assert ff._pair_table(system.copy(), rebuilt) is not ff._pair_table(
+        system, rebuilt
+    )

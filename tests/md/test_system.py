@@ -46,6 +46,17 @@ def test_water_molecules_have_three_atoms():
     assert np.all(counts == 3)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_ion_molecule_ids_are_unique(dim):
+    """Pair forces skip atoms sharing a molecule id, so ions sharing an
+    id would lose every ion-ion interaction."""
+    sys_ = water_ion_box(dim=dim)
+    ions = np.isin(sys_.types, [Species.CAT, Species.AN])
+    ion_ids = sys_.molecule_ids[ions]
+    assert len(np.unique(ion_ids)) == ions.sum()
+    assert not np.isin(ion_ids, sys_.molecule_ids[~ions]).any()
+
+
 def test_bonds_connect_o_to_h():
     sys_ = water_ion_box(dim=1)
     assert len(sys_.bonds) == 2 * 512

@@ -88,6 +88,51 @@ def test_non_finite_work_rejected(work):
         execute_phase(COMPUTE, THETA_NODE, work, make_domain(), 0.0)
 
 
+BAD_NOISE = [float("nan"), -1.0, float("inf")]
+
+
+@pytest.mark.parametrize("bad", BAD_NOISE)
+@pytest.mark.parametrize(
+    "n, collect", [(1, False), (1, True), (2, False)], ids=["float", "array-1", "array-2"]
+)
+def test_bad_noise_factors_rejected(bad, n, collect):
+    """NaN and negative factors used to yield a silent zero-length,
+    zero-energy phase and ``inf`` an infinite one."""
+    noise = np.full(n, 1.0)
+    noise[-1] = bad
+    with pytest.raises(ValueError, match="noise factors"):
+        execute_phase(
+            COMPUTE,
+            THETA_NODE,
+            1.0,
+            make_domain(n),
+            0.0,
+            noise_factors=noise,
+            collect_segments=collect,
+        )
+
+
+@pytest.mark.parametrize("bad", BAD_NOISE)
+def test_bad_scalar_noise_factor_rejected(bad):
+    with pytest.raises(ValueError, match="noise factors"):
+        execute_phase(COMPUTE, THETA_NODE, 1.0, make_domain(1), 0.0, noise_factors=bad)
+
+
+def test_length_one_noise_array_matches_scalar():
+    scalar = execute_phase(
+        COMPUTE, THETA_NODE, 2.0, make_domain(1), 0.0, noise_factors=1.3
+    )
+    array = execute_phase(
+        COMPUTE, THETA_NODE, 2.0, make_domain(1), 0.0, noise_factors=np.array([1.3])
+    )
+    assert array.durations.tolist() == scalar.durations.tolist()
+    assert array.energy_joules.tolist() == scalar.energy_joules.tolist()
+    with pytest.raises(ValueError):
+        execute_phase(
+            COMPUTE, THETA_NODE, 2.0, make_domain(1), 0.0, noise_factors=np.ones(2)
+        )
+
+
 def test_segments_collected_when_requested():
     dom = make_domain(n=1, cap=98.0, delay=1.0)
     dom.request_caps(215.0, now=0.0)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.cluster.node import THETA_NODE
 from repro.power.execution import execute_phase
 from repro.power.model import PhaseKind, operating_point
-from repro.power.rapl import RaplDomainArray
+from repro.power.rapl import CapMode, RaplDomainArray
 
 phase_kinds = st.builds(
     PhaseKind,
@@ -122,3 +122,84 @@ def test_mid_phase_cap_change_conserves_work(kind, work, cap_a, cap_b, frac):
             + (d - t_switch) * op_b.speed[0]
         )
     assert done == pytest.approx(work, rel=1e-6)
+
+
+# ----------------------------------------------------------------------
+# The single-node branch of execute_phase (Python floats) against the
+# array loop. Node 0 of a 2-node domain with identical caps and noise
+# runs the array loop on the same operating point, so it is the oracle;
+# a 1-node domain with collect_segments=True is the array loop at n=1.
+def _run_three_ways(kind, work, noise, cap0, cap1, request_at, delay, mode, t_start):
+    outs = []
+    for n, collect in ((1, False), (2, False), (1, True)):
+        dom = RaplDomainArray(
+            THETA_NODE, n, cap0, mode=mode, actuation_delay_s=delay
+        )
+        if cap1 is not None:
+            dom.request_caps(cap1, now=request_at)
+        outs.append(
+            execute_phase(
+                kind,
+                THETA_NODE,
+                work,
+                dom,
+                t_start,
+                noise_factors=noise if n == 1 else np.full(n, noise),
+                collect_segments=collect,
+            )
+        )
+    return outs
+
+
+def _assert_same_as_array_loop(outs):
+    single, pair, collected = outs
+    for oracle in (pair, collected):
+        assert single.durations[0] == oracle.durations[0]
+        assert single.energy_joules[0] == oracle.energy_joules[0]
+    assert pair.durations[0] == pair.durations[1]
+
+
+@given(
+    kind=phase_kinds,
+    work=st.one_of(st.just(0.0), st.floats(1e-9, 20.0)),
+    noise=st.one_of(st.just(0.0), st.floats(0.5, 2.0)),
+    cap0=caps,
+    cap1=st.one_of(st.none(), caps),
+    request_at=st.floats(0.0, 10.0),
+    delay=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+    mode=st.sampled_from(list(CapMode)),
+    t_start=st.floats(0.0, 10.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_single_node_branch_matches_array_loop(
+    kind, work, noise, cap0, cap1, request_at, delay, mode, t_start
+):
+    outs = _run_three_ways(
+        kind, work, noise, cap0, cap1, request_at, delay, mode, t_start
+    )
+    _assert_same_as_array_loop(outs)
+
+
+@given(
+    work=st.floats(0.1, 10.0),
+    frac=st.floats(0.01, 0.99),
+    k_watts=st.floats(80.0, 120.0),
+    gamma=st.floats(0.1, 0.5),
+    cap0=st.floats(98.0, 105.0),
+    cap1=caps,
+    mode=st.sampled_from([CapMode.LONG, CapMode.LONG_SHORT]),
+)
+@settings(max_examples=100, deadline=None)
+def test_single_node_branch_duty_cycled_with_pending_change(
+    work, frac, k_watts, gamma, cap0, cap1, mode
+):
+    """Caps below demand(f_min) duty-cycle the node; a change pending
+    mid-phase splits it into two segments."""
+    kind = PhaseKind("starved", k_watts=k_watts, gamma=gamma, beta=1.0)
+    assert cap0 < float(kind.demand(THETA_NODE, THETA_NODE.f_min))
+    # land the change inside the phase: a fraction of its starved length
+    starved = operating_point(kind, THETA_NODE, cap0 * mode.undershoot)
+    delay = frac * work / float(starved.speed[0])
+    outs = _run_three_ways(kind, work, 1.0, cap0, cap1, 0.0, delay, mode, 0.0)
+    _assert_same_as_array_loop(outs)
+    assert len(outs[2].segments) == 2
