@@ -56,10 +56,6 @@ class SimEvent:
         self.name = name
 
     @property
-    def triggered(self) -> bool:
-        return self._done
-
-    @property
     def value(self) -> Any:
         if not self._done:
             raise SimulationError(f"event {self.name!r} has no value yet")
@@ -79,13 +75,11 @@ class SimEvent:
     def _succeed_inline(self, value: Any = None) -> None:
         """Succeed and resume waiters synchronously, in join order.
 
-        Used by the coalesced collective release
+        Used by the collective release
         (:meth:`repro.mpi.comm._CollectiveRound.release`): one heap
         event wakes every member instead of scheduling one zero-delay
-        event per waiter. Join order is exactly the order the per-event
-        scheme resumed waiters in, so trajectories are unchanged; only
-        the event count drops. Waiters run on the caller's stack — only
-        use this from an engine callback.
+        event per waiter as :meth:`succeed` does. Waiters run on the
+        caller's stack — only use this from an engine callback.
         """
         if self._done:
             raise SimulationError(f"event {self.name!r} succeeded twice")

@@ -54,7 +54,6 @@ from repro.md import (
     VelocityVerlet,
     compute_thermo,
     water_ion_box,
-    write_lammps_dump,
 )
 from repro.md.thermo import ThermoLog
 from repro.mpi.comm import Communicator, MpiWorld
@@ -105,10 +104,6 @@ class InsituConfig:
     dt: float = 0.0005
     seed: int = 2020
     thermostat_t: float | None = 1.0
-    #: optional LAMMPS-dump trajectory path (step 8's "optional output
-    #: of state of S"); one frame per synchronization, written by sim
-    #: rank 0
-    dump_path: str | None = None
     #: compute rank-invariant MD/analysis work once and share it across
     #: ranks (:mod:`repro.insitu.replica`). ``None`` defers to the
     #: ambient default (on, unless ``SEESAW_SHARED_REPLICA=0`` or the
@@ -155,8 +150,6 @@ class InsituResult:
     #: count-verification failures (step 4); always 0 in a correct run
     verification_failures: int = 0
     #: DES callbacks fired — deterministic for a given engine version
-    #: (coalesced collectives fire fewer events than the per-rank
-    #: scheme for the same virtual trajectory)
     events_executed: int = 0
     #: whether the shared-replica fast path was active
     shared_replica: bool = False
@@ -346,9 +339,6 @@ def run_insitu(
                     )
                     thermo_out.append(record)
                 step_span.end()
-            if rank == 0 and cfg.dump_path is not None:
-                # step 8: optional output of the simulation state
-                write_lammps_dump(cfg.dump_path, system, step=sync)
             sync_span.end()
         return None
 

@@ -10,7 +10,6 @@ operation counts.
 """
 
 from repro.md.box import Box
-from repro.md.dump import read_lammps_dump, write_lammps_dump, write_xyz
 from repro.md.domain import DomainDecomposition, Snapshot, grid_for_ranks
 from repro.md.forces import ForceField, ForceResult
 from repro.md.neighbor import NeighborList, build_neighbor_list
@@ -38,9 +37,6 @@ __all__ = [
     "ThermoRecord",
     "VelocityVerlet",
     "build_neighbor_list",
-    "read_lammps_dump",
-    "write_lammps_dump",
-    "write_xyz",
     "compute_thermo",
     "grid_for_ranks",
     "water_ion_box",

@@ -1,7 +1,8 @@
 """Simulated MPI runtime on the discrete-event engine.
 
-Provides communicators with mpi4py-style semantics (split, collectives,
-tagged point-to-point) plus pluggable communication cost models.
+Provides communicators with mpi4py-style semantics (split, barrier,
+bcast, allgather, allreduce, tagged point-to-point) plus pluggable
+communication cost models.
 """
 
 from repro.mpi.comm import (
@@ -9,8 +10,6 @@ from repro.mpi.comm import (
     ANY_TAG,
     Communicator,
     MpiWorld,
-    RankView,
-    Request,
     payload_nbytes,
 )
 from repro.mpi.costs import CommCostModel, LogPCost, ZeroCost
@@ -22,8 +21,6 @@ __all__ = [
     "Communicator",
     "LogPCost",
     "MpiWorld",
-    "RankView",
-    "Request",
     "ZeroCost",
     "payload_nbytes",
 ]

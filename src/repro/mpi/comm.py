@@ -9,8 +9,7 @@ PoLiMER need, with mpi4py-flavoured semantics:
   exactly this mechanism (§IV-B);
 * blocking ``send``/``recv`` with tag/source matching (wildcards
   supported);
-* ``barrier``, ``bcast``, ``gather``, ``allgather``, ``allreduce``,
-  ``reduce`` and ``alltoall``.
+* ``barrier``, ``bcast``, ``allgather`` and ``allreduce``.
 
 All operations are *awaitables*: a simulated process obtains one from
 the communicator and ``yield``s it. Completion timing comes from the
@@ -23,7 +22,6 @@ containers; logical tests with ``ZeroCost`` never look at it.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -38,8 +36,6 @@ __all__ = [
     "ANY_TAG",
     "Communicator",
     "MpiWorld",
-    "RankView",
-    "Request",
     "payload_nbytes",
 ]
 
@@ -67,43 +63,13 @@ def payload_nbytes(obj: Any) -> int:
     return 64  # opaque object: charge a small fixed envelope
 
 
-class Request:
-    """Handle to a non-blocking operation (mpi4py Request flavour).
-
-    Yield :meth:`wait` (or the request itself) inside a simulated
-    process to block until completion; poll :attr:`complete` to test.
-    """
-
-    __slots__ = ("_event",)
-
-    def __init__(self, event: SimEvent) -> None:
-        self._event = event
-
-    @property
-    def complete(self) -> bool:
-        return self._event.triggered
-
-    def wait(self) -> SimEvent:
-        """The awaitable completing this request (yields its value)."""
-        return self._event
-
-    def __sim_await__(self, process) -> None:
-        # allow `yield request` directly
-        self._event._add_waiter(process._advance)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "complete" if self.complete else "pending"
-        return f"<Request {state}>"
-
-
 class _Message:
-    __slots__ = ("source", "tag", "payload", "arrival")
+    __slots__ = ("source", "tag", "payload")
 
-    def __init__(self, source: int, tag: int, payload: Any, arrival: float):
+    def __init__(self, source: int, tag: int, payload: Any):
         self.source = source
         self.tag = tag
         self.payload = payload
-        self.arrival = arrival
 
 
 class _PendingRecv:
@@ -120,65 +86,40 @@ class _PendingRecv:
         )
 
 
-def _coalesce_default() -> bool:
-    """Coalesced collective release is on unless SEESAW_MPI_COALESCE=0.
-
-    The opt-out keeps the historical one-wakeup-event-per-rank scheme
-    available as the reference the equivalence tests compare against.
-    """
-    return os.environ.get("SEESAW_MPI_COALESCE", "1") != "0"
-
-
 class _CollectiveRound:
     """State for one in-flight collective on a communicator.
 
-    Arrival times are kept in a preallocated vector (``arrivals[rank]``
-    is NaN until that rank joins), so the round never grows per-rank
-    Python containers beyond the contribution dict it already needs.
     ``members`` records ``(rank, per_rank_event, deliver)`` in join
-    order for the coalesced release.
+    order for the release.
     """
 
     __slots__ = (
-        "op",
         "expected",
         "contributions",
         "event",
         "finalize",
-        "arrivals",
         "members",
     )
 
     def __init__(
         self,
-        op: str,
         expected: int,
         event: SimEvent,
         finalize: Callable[[dict[int, Any]], Any],
     ):
-        self.op = op
         self.expected = expected
         self.contributions: dict[int, Any] = {}
         self.event = event
         self.finalize = finalize
-        self.arrivals = np.full(expected, np.nan)
         self.members: list[tuple[int, SimEvent, Callable[[int, Any], Any]]] = []
-
-    @property
-    def last_arrival(self) -> float:
-        """Latest join time over the vectorized arrival record."""
-        return float(np.nanmax(self.arrivals))
 
     def release(self, result: Any) -> None:
         """Wake every member from one engine event, in join order.
 
-        This replaces the O(N) per-rank wakeup storm: the shared event
-        succeeds inline, then each per-rank wrapper (ops with a
-        ``deliver``) succeeds inline with its delivered slice. Join
-        order equals the order the per-rank zero-delay events fired in
-        the old scheme, so the trajectory is bit-identical while the
-        heap sees exactly one release event (ordering proof in
-        DESIGN.md §15).
+        The shared event succeeds inline, then each per-rank wrapper
+        (ops with a ``deliver``) succeeds inline with its delivered
+        slice, so the heap sees exactly one release event per round
+        (ordering argument in DESIGN.md §15).
         """
         self.event._succeed_inline(result)
         for rank, per_rank_event, deliver in self.members:
@@ -192,25 +133,17 @@ class Communicator:
     communicator; :attr:`world_ranks` maps back to world numbering.
     """
 
-    _next_id = 0
-
     def __init__(
         self,
         engine: Engine,
         world_ranks: Sequence[int],
         cost: CommCostModel,
         name: str = "comm",
-        coalesce: bool | None = None,
     ) -> None:
         self.engine = engine
         self.world_ranks = tuple(world_ranks)
         self.cost = cost
         self.name = name
-        #: one coalesced release event per collective vs the legacy
-        #: per-rank wakeup storm; sub-communicators inherit the choice
-        self._coalesce = _coalesce_default() if coalesce is None else coalesce
-        self.id = Communicator._next_id
-        Communicator._next_id += 1
         self._mailboxes: dict[int, list[_Message]] = {
             r: [] for r in range(len(world_ranks))
         }
@@ -218,9 +151,6 @@ class Communicator:
             r: [] for r in range(len(world_ranks))
         }
         self._rounds: dict[str, _CollectiveRound] = {}
-        # Each rank may have at most one outstanding collective; track
-        # arrivals for deadlock diagnostics.
-        self._stats = {"p2p_messages": 0, "collectives": 0}
         faults = get_faults()
         self._faults = faults if faults.enabled and faults.active else None
 
@@ -254,9 +184,7 @@ class Communicator:
         wire = self.cost.p2p_time(nbytes)
         if self._faults is not None:
             wire += self._faults.comm_delay(self.engine.now)
-        arrival = self.engine.now + wire
-        msg = _Message(source, tag, payload, arrival)
-        self._stats["p2p_messages"] += 1
+        msg = _Message(source, tag, payload)
         done = SimEvent(self.engine, name=f"{self.name}.send({source}->{dest})")
         self.engine.schedule(wire, lambda: done.succeed(None))
         self.engine.schedule(wire, lambda: self._deliver(dest, msg))
@@ -288,53 +216,6 @@ class Communicator:
         self._pending_recvs[rank].append(_PendingRecv(source, tag, event))
         return event
 
-    # -- non-blocking point-to-point --------------------------------------
-    def isend(
-        self, source: int, dest: int, payload: Any, tag: int = 0
-    ) -> "Request":
-        """Non-blocking send: returns a :class:`Request` immediately.
-
-        The message is injected right away (eager), so an un-waited
-        isend still gets delivered; waiting on the request models the
-        sender-side completion semantics.
-        """
-        return Request(self.send(source, dest, payload, tag))
-
-    def irecv(
-        self, rank: int, source: int = ANY_SOURCE, tag: int = ANY_TAG
-    ) -> "Request":
-        """Non-blocking receive: returns a :class:`Request` whose wait
-        resolves with the matched payload."""
-        return Request(self.recv(rank, source, tag))
-
-    def sendrecv(
-        self,
-        rank: int,
-        dest: int,
-        payload: Any,
-        source: int,
-        send_tag: int = 0,
-        recv_tag: int = ANY_TAG,
-    ) -> SimEvent:
-        """Combined send+receive (MPI_Sendrecv) — the deadlock-free
-        exchange primitive. Resolves with the received payload once
-        both halves complete."""
-        send_done = self.send(rank, dest, payload, send_tag)
-        recv_done = self.recv(rank, source, recv_tag)
-        out = SimEvent(self.engine, name=f"{self.name}.sendrecv({rank})")
-        state = {"pending": 2, "payload": None}
-
-        def part_done(value, is_recv):
-            if is_recv:
-                state["payload"] = value
-            state["pending"] -= 1
-            if state["pending"] == 0:
-                out.succeed(state["payload"])
-
-        send_done._add_waiter(lambda v: part_done(v, False))
-        recv_done._add_waiter(lambda v: part_done(v, True))
-        return out
-
     # -- collectives -----------------------------------------------------
     def barrier(self, rank: int) -> SimEvent:
         return self._collective("barrier", rank, None, lambda contrib: None)
@@ -346,46 +227,6 @@ class Communicator:
             return contrib[root]
 
         return self._collective(f"bcast.{root}", rank, value, finalize)
-
-    def gather(self, rank: int, value: Any, root: int = 0) -> SimEvent:
-        self._check_rank(root)
-
-        def finalize(contrib: dict[int, Any]) -> Any:
-            return [contrib[r] for r in range(self.size)]
-
-        # Non-root ranks receive None, matching mpi4py's convention.
-        return self._collective(
-            f"gather.{root}",
-            rank,
-            value,
-            finalize,
-            deliver=lambda r, result: result if r == root else None,
-        )
-
-    def scatter(self, rank: int, values: Any = None, root: int = 0) -> SimEvent:
-        """Root distributes one element of ``values`` to each rank."""
-        self._check_rank(root)
-        if rank == root:
-            if values is None or len(values) != self.size:
-                raise SimulationError(
-                    f"scatter root needs {self.size} values"
-                )
-
-        def finalize(contrib: dict[int, Any]) -> Any:
-            return contrib[root]
-
-        return self._collective(
-            f"scatter.{root}",
-            rank,
-            list(values) if rank == root else None,
-            finalize,
-            deliver=lambda r, vals: vals[r],
-        )
-
-    def dup(self, rank: int) -> SimEvent:
-        """Collective duplicate (MPI_Comm_dup): a fresh communicator
-        with the same membership but isolated matching/collectives."""
-        return self.split(rank, color=0, key=rank)
 
     def allgather(self, rank: int, value: Any) -> SimEvent:
         def finalize(contrib: dict[int, Any]) -> Any:
@@ -405,47 +246,6 @@ class Communicator:
             return acc
 
         return self._collective("allreduce", rank, value, finalize)
-
-    def reduce(
-        self,
-        rank: int,
-        value: Any,
-        root: int = 0,
-        op: Callable[[Any, Any], Any] | None = None,
-    ) -> SimEvent:
-        self._check_rank(root)
-        reducer = op if op is not None else (lambda a, b: a + b)
-
-        def finalize(contrib: dict[int, Any]) -> Any:
-            acc = contrib[0]
-            for r in range(1, self.size):
-                acc = reducer(acc, contrib[r])
-            return acc
-
-        return self._collective(
-            f"reduce.{root}",
-            rank,
-            value,
-            finalize,
-            deliver=lambda r, result: result if r == root else None,
-        )
-
-    def alltoall(self, rank: int, values: Sequence[Any]) -> SimEvent:
-        if len(values) != self.size:
-            raise SimulationError(
-                f"alltoall needs {self.size} values, got {len(values)}"
-            )
-
-        def finalize(contrib: dict[int, Any]) -> Any:
-            return contrib  # full matrix; deliver slices per rank
-
-        return self._collective(
-            "alltoall",
-            rank,
-            list(values),
-            finalize,
-            deliver=lambda r, matrix: [matrix[src][r] for src in range(self.size)],
-        )
 
     def split(self, rank: int, color: int, key: int = 0) -> SimEvent:
         """Collective split into sub-communicators (MPI_Comm_split).
@@ -471,7 +271,6 @@ class Communicator:
                     ranks,
                     self.cost,
                     name=f"{self.name}.split({c})",
-                    coalesce=self._coalesce,
                 )
             return comms
 
@@ -504,30 +303,23 @@ class Communicator:
         round_ = self._rounds.get(op)
         if round_ is None:
             event = SimEvent(self.engine, name=f"{self.name}.{op}")
-            round_ = _CollectiveRound(op, self.size, event, finalize)
+            round_ = _CollectiveRound(self.size, event, finalize)
             self._rounds[op] = round_
         if rank in round_.contributions:
             raise SimulationError(
                 f"rank {rank} joined collective {op!r} twice on {self.name}"
             )
         round_.contributions[rank] = value
-        round_.arrivals[rank] = self.engine.now
 
         if deliver is not None:
             # Wrap the shared event in a per-rank event applying deliver.
             per_rank = SimEvent(self.engine, name=f"{self.name}.{op}.r{rank}")
-            if self._coalesce:
-                round_.members.append((rank, per_rank, deliver))
-            else:
-                round_.event._add_waiter(
-                    lambda result, r=rank: per_rank.succeed(deliver(r, result))
-                )
+            round_.members.append((rank, per_rank, deliver))
             out_event = per_rank
         else:
             out_event = round_.event
 
         if len(round_.contributions) == round_.expected:
-            self._stats["collectives"] += 1
             nbytes = max(
                 payload_nbytes(v) for v in round_.contributions.values()
             )
@@ -537,12 +329,8 @@ class Communicator:
                 cost += self._faults.comm_delay(self.engine.now)
             del self._rounds[op]
             result = round_.finalize(round_.contributions)
-            if self._coalesce:
-                # One release event wakes every member in join order —
-                # same (time, seq) member order as the per-rank scheme.
-                self.engine.schedule(cost, lambda: round_.release(result))
-            else:
-                self.engine.schedule(cost, lambda: round_.event.succeed(result))
+            # One release event wakes every member in join order.
+            self.engine.schedule(cost, lambda: round_.release(result))
         return out_event
 
     def _check_rank(self, rank: int) -> None:
@@ -551,97 +339,8 @@ class Communicator:
                 f"rank {rank} out of range for {self.name} (size {self.size})"
             )
 
-    @property
-    def stats(self) -> dict[str, int]:
-        return dict(self._stats)
-
-    def bind(self, rank: int) -> "RankView":
-        """A view of this communicator bound to ``rank`` (mpi4py
-        style: the rank argument disappears from every call)."""
-        self._check_rank(rank)
-        return RankView(self, rank)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Communicator {self.name!r} size={self.size}>"
-
-
-class RankView:
-    """A communicator as seen from one rank.
-
-    Wraps every operation of :class:`Communicator` with the bound rank
-    pre-applied, so process bodies read like mpi4py code::
-
-        me = comm.bind(rank)
-        yield me.barrier()
-        total = yield me.allreduce(x)
-    """
-
-    __slots__ = ("comm", "rank")
-
-    def __init__(self, comm: Communicator, rank: int) -> None:
-        self.comm = comm
-        self.rank = rank
-
-    @property
-    def size(self) -> int:
-        return self.comm.size
-
-    def send(self, dest: int, payload: Any, tag: int = 0) -> SimEvent:
-        return self.comm.send(self.rank, dest, payload, tag)
-
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> SimEvent:
-        return self.comm.recv(self.rank, source, tag)
-
-    def isend(self, dest: int, payload: Any, tag: int = 0) -> "Request":
-        return self.comm.isend(self.rank, dest, payload, tag)
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> "Request":
-        return self.comm.irecv(self.rank, source, tag)
-
-    def sendrecv(
-        self,
-        dest: int,
-        payload: Any,
-        source: int,
-        send_tag: int = 0,
-        recv_tag: int = ANY_TAG,
-    ) -> SimEvent:
-        return self.comm.sendrecv(
-            self.rank, dest, payload, source, send_tag, recv_tag
-        )
-
-    def barrier(self) -> SimEvent:
-        return self.comm.barrier(self.rank)
-
-    def bcast(self, value: Any = None, root: int = 0) -> SimEvent:
-        return self.comm.bcast(self.rank, value, root)
-
-    def gather(self, value: Any, root: int = 0) -> SimEvent:
-        return self.comm.gather(self.rank, value, root)
-
-    def allgather(self, value: Any) -> SimEvent:
-        return self.comm.allgather(self.rank, value)
-
-    def allreduce(self, value: Any, op=None) -> SimEvent:
-        return self.comm.allreduce(self.rank, value, op)
-
-    def reduce(self, value: Any, root: int = 0, op=None) -> SimEvent:
-        return self.comm.reduce(self.rank, value, root, op)
-
-    def scatter(self, values: Any = None, root: int = 0) -> SimEvent:
-        return self.comm.scatter(self.rank, values, root)
-
-    def alltoall(self, values: Sequence[Any]) -> SimEvent:
-        return self.comm.alltoall(self.rank, values)
-
-    def split(self, color: int, key: int = 0) -> SimEvent:
-        return self.comm.split(self.rank, color, key)
-
-    def dup(self) -> SimEvent:
-        return self.comm.dup(self.rank)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<RankView rank={self.rank} of {self.comm.name!r}>"
 
 
 class MpiWorld:

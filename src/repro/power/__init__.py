@@ -1,4 +1,4 @@
-"""Power substrate: phase power model, RAPL emulation, traces, sysfs façade."""
+"""Power substrate: phase power model, RAPL emulation, traces."""
 
 from repro.power.execution import (
     DrawSegment,
@@ -7,14 +7,12 @@ from repro.power.execution import (
     wait_energy,
 )
 from repro.power.model import OperatingPoint, PhaseKind, operating_point
-from repro.power.msr import MsrSafeFs
 from repro.power.rapl import CapMode, RaplDomainArray
 from repro.power.trace import PowerTrace, sample_trace
 
 __all__ = [
     "CapMode",
     "DrawSegment",
-    "MsrSafeFs",
     "OperatingPoint",
     "PhaseKind",
     "PhaseOutcome",

@@ -108,13 +108,3 @@ def test_seesaw_decisions_recorded(seesaw_run):
     _, res = seesaw_run
     assert len(res.allocation_log) >= 1
 
-
-def test_trajectory_dump_written(tmp_path):
-    from repro.md.dump import read_lammps_dump
-
-    dump = tmp_path / "insitu.dump"
-    cfg = make_cfg(n_verlet_steps=4, dump_path=str(dump))
-    run_insitu(cfg, static_ctl(cfg))
-    frames = read_lammps_dump(dump)
-    assert len(frames) == 4
-    assert frames[0]["positions"].shape[0] == 1568

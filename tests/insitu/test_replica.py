@@ -132,22 +132,6 @@ def test_fast_path_dedup_accounting():
     assert res.replica_hits == (cfg.n_sim_ranks - 1) * res.replica_misses
 
 
-def test_dump_identical_between_modes(tmp_path):
-    paths = {}
-    for mode in (True, False):
-        p = tmp_path / f"dump-{mode}.lammpstrj"
-        cfg = InsituConfig(
-            n_sim_ranks=2,
-            n_ana_ranks=2,
-            n_verlet_steps=4,
-            dump_path=str(p),
-            shared_replica=mode,
-        )
-        run_insitu(cfg, build_controller("static", cfg))
-        paths[mode] = p
-    assert paths[True].read_text() == paths[False].read_text()
-
-
 # ------------------------------------------------------------ SharedReplica
 
 

@@ -53,16 +53,6 @@ def test_bcast_delivers_root_value():
 
 
 # ---------------------------------------------------------------- gather
-def test_gather_collects_at_root_only():
-    def main(rank, comm):
-        got = yield comm.gather(rank, rank * 10, root=0)
-        return got
-
-    _, results = run_world(4, main)
-    assert results[0] == [0, 10, 20, 30]
-    assert results[1:] == [None, None, None]
-
-
 def test_allgather_collects_everywhere():
     def main(rank, comm):
         got = yield comm.allgather(rank, rank + 1)
@@ -89,32 +79,6 @@ def test_allreduce_custom_op():
 
     _, results = run_world(5, main)
     assert results == [4] * 5
-
-
-def test_reduce_delivers_only_to_root():
-    def main(rank, comm):
-        got = yield comm.reduce(rank, rank, root=2)
-        return got
-
-    _, results = run_world(4, main)
-    assert results == [None, None, 6, None]
-
-
-def test_alltoall_transposes():
-    def main(rank, comm):
-        got = yield comm.alltoall(rank, [f"{rank}->{d}" for d in range(3)])
-        return got
-
-    _, results = run_world(3, main)
-    assert results[1] == ["0->1", "1->1", "2->1"]
-
-
-def test_alltoall_wrong_length_raises():
-    def main(rank, comm):
-        yield comm.alltoall(rank, [1, 2])
-
-    with pytest.raises(SimulationError):
-        run_world(3, main)
 
 
 # ---------------------------------------------------------------- p2p
