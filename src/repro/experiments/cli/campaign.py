@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import json
 import sys
 from pathlib import Path
@@ -95,14 +94,9 @@ def _cmd_campaign(args) -> int:
         progress=sys.stderr.isatty(),
     )
     engine.obs.campaign_id = cid
-    scopes = contextlib.ExitStack()
-    if meta.get("no_shared_replica"):
-        from repro.insitu import use_shared_replica
-
-        scopes.enter_context(use_shared_replica(False))
     output = Path(meta["output"]) if meta.get("output") else None
     try:
-        with scopes, use_engine(engine):
+        with use_engine(engine):
             for name in names:
                 print(_run_one(name, overrides, output))
                 print()

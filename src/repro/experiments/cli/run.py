@@ -198,10 +198,6 @@ def _cmd_run(parser, args) -> int:
     registry = None
     audit_journal = None
     scopes = contextlib.ExitStack()
-    if args.no_shared_replica:
-        from repro.insitu import use_shared_replica
-
-        scopes.enter_context(use_shared_replica(False))
     if args.trace is not None:
         trace_sink = ChromeTraceSink()
     if args.metrics is not None:
@@ -251,7 +247,6 @@ def _cmd_run(parser, args) -> int:
             jobs=args.jobs,
             cache=str(engine.store.root) if engine.store is not None else None,
             output=str(args.output) if args.output is not None else None,
-            no_shared_replica=args.no_shared_replica,
             faulted=args.faults is not None or args.chaos_seed is not None,
         )
         cid = campaign_id(meta)

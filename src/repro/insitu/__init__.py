@@ -9,25 +9,17 @@ full-stack integration of every substrate.
 from repro.insitu.coupler import InsituConfig, InsituResult, run_insitu
 from repro.insitu.replica import (
     AnalysisEnsemble,
-    ReplicaKey,
     ReplicaOrderError,
-    ReplicaPool,
     SharedReplica,
     merge_slices,
-    shared_replica_default,
-    use_shared_replica,
 )
 
 __all__ = [
     "AnalysisEnsemble",
     "InsituConfig",
     "InsituResult",
-    "ReplicaKey",
     "ReplicaOrderError",
-    "ReplicaPool",
     "SharedReplica",
     "merge_slices",
     "run_insitu",
-    "shared_replica_default",
-    "use_shared_replica",
 ]

@@ -30,31 +30,24 @@ pre-synchronization allocation). Virtual compute durations come from
 the engines' measured operation counts via :mod:`repro.insitu.costs`.
 
 Because the replicas are bit-identical by construction, the host-side
-physics is computed **once** by default and memoized across ranks (the
-shared-replica fast path, :mod:`repro.insitu.replica`): one Verlet
-integration per step and one analysis update per synchronization
-instead of N of each, while every rank still performs all of its
-*virtual* actions individually. ``InsituConfig(shared_replica=False)``
-restores the fully replicated execution; both paths are pinned
-bit-identical in virtual time, thermo, analysis results and allocation
-decisions by ``tests/insitu/test_replica.py``.
+physics is computed **once** and memoized across ranks
+(:mod:`repro.insitu.replica`): one Verlet integration per step and one
+analysis update per synchronization instead of N of each, while every
+rank still performs all of its *virtual* actions individually. The
+complete output (virtual time, event count, thermo, analysis results,
+allocation and observation logs) is pinned by literals in
+``tests/experiments/test_trajectory_equivalence.py`` that were checked
+against a run in which every rank integrated its own replica.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from repro.analysis import Analysis, make_analysis
 from repro.cluster.machine import MachineSpec, theta
 from repro.core.controller import PowerController
 from repro.des.engine import Engine
 from repro.faults.injector import get_faults
-from repro.md import (
-    DomainDecomposition,
-    VelocityVerlet,
-    compute_thermo,
-    water_ion_box,
-)
 from repro.md.thermo import ThermoLog
 from repro.mpi.comm import Communicator, MpiWorld
 from repro.insitu.costs import (
@@ -66,13 +59,7 @@ from repro.insitu.costs import (
     SECONDS_PER_EXCHANGE_ATOM,
     SECONDS_PER_PAIR,
 )
-from repro.insitu.replica import (
-    AnalysisEnsemble,
-    ReplicaKey,
-    ReplicaPool,
-    merge_slices,
-    shared_replica_default,
-)
+from repro.insitu.replica import AnalysisEnsemble, SharedReplica, merge_slices
 from repro.metrics.registry import get_metrics
 from repro.metrics.timeseries import PeriodicSampler
 from repro.polimer import poli_init_power_manager, poli_power_alloc
@@ -85,9 +72,6 @@ from repro.workloads.profiles import PHASES
 SAMPLE_PERIOD_S = 0.01
 
 __all__ = ["InsituConfig", "InsituResult", "run_insitu"]
-
-# kept under its old private name for the analysis-side merge
-_merge_slices = merge_slices
 
 
 @dataclass(frozen=True)
@@ -104,11 +88,6 @@ class InsituConfig:
     dt: float = 0.0005
     seed: int = 2020
     thermostat_t: float | None = 1.0
-    #: compute rank-invariant MD/analysis work once and share it across
-    #: ranks (:mod:`repro.insitu.replica`). ``None`` defers to the
-    #: ambient default (on, unless ``SEESAW_SHARED_REPLICA=0`` or the
-    #: CLI's ``--no-shared-replica`` scope is active).
-    shared_replica: bool | None = None
 
     def __post_init__(self) -> None:
         if self.n_sim_ranks != self.n_ana_ranks:
@@ -119,6 +98,11 @@ class InsituConfig:
             raise ValueError("need at least one rank per partition")
         if self.j < 1 or self.n_verlet_steps < self.j:
             raise ValueError("invalid j / step count")
+        if self.n_verlet_steps % self.j:
+            raise ValueError(
+                f"n_verlet_steps={self.n_verlet_steps} is not a multiple "
+                f"of j={self.j}: the trailing steps would never run"
+            )
 
     @property
     def world_size(self) -> int:
@@ -127,12 +111,6 @@ class InsituConfig:
     @property
     def n_syncs(self) -> int:
         return self.n_verlet_steps // self.j
-
-    def resolve_shared_replica(self) -> bool:
-        """The effective fast-path switch for this job."""
-        if self.shared_replica is not None:
-            return self.shared_replica
-        return shared_replica_default()
 
 
 @dataclass
@@ -151,18 +129,12 @@ class InsituResult:
     verification_failures: int = 0
     #: DES callbacks fired — deterministic for a given engine version
     events_executed: int = 0
-    #: whether the shared-replica fast path was active
-    shared_replica: bool = False
-    #: replica memo hits/misses (0/0 on the per-rank path)
+    #: replica memo hits/misses
     replica_hits: int = 0
     replica_misses: int = 0
     #: injected fault-marker rows that fired during this run (empty
     #: unless a FaultInjector with a non-empty plan was installed)
-    fault_events: list = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.fault_events is None:
-            self.fault_events = []
+    fault_events: list = field(default_factory=list)
 
 
 @register_workload("insitu")
@@ -183,22 +155,14 @@ def run_insitu(
     managers: dict[int, object] = {}
     verification_failures = [0]
 
-    shared = cfg.resolve_shared_replica()
-    pool = ReplicaPool() if shared else None
-    replica = (
-        pool.acquire(
-            ReplicaKey(
-                dim=cfg.dim,
-                seed=cfg.seed,
-                dt=cfg.dt,
-                thermostat_t=cfg.thermostat_t,
-                n_sim_ranks=cfg.n_sim_ranks,
-            )
-        )
-        if shared
-        else None
+    replica = SharedReplica(
+        dim=cfg.dim,
+        seed=cfg.seed,
+        dt=cfg.dt,
+        thermostat_t=cfg.thermostat_t,
+        n_sim_ranks=cfg.n_sim_ranks,
     )
-    ensemble = AnalysisEnsemble(cfg.analyses) if shared else None
+    ensemble = AnalysisEnsemble(cfg.analyses)
 
     # The null tracer's begin/end are no-ops, so the per-sync span
     # bookkeeping below costs a method call when tracing is off.
@@ -243,19 +207,9 @@ def run_insitu(
         managers[rank] = pm
         yield from pm.initialize()
 
-        if shared:
-            system = replica.system
-            integrator = None
-            dd = None
-        else:
-            system = water_ion_box(dim=cfg.dim, seed=cfg.seed)
-            integrator = VelocityVerlet(
-                system, dt=cfg.dt, thermostat_t=cfg.thermostat_t
-            )
-            dd = DomainDecomposition(system, cfg.n_sim_ranks)
         if rank == 0:
             # analysis partition needs the box to rebuild frames
-            yield comm.bcast(rank, system.box.lengths, root=0)
+            yield comm.bcast(rank, replica.system.box.lengths, root=0)
         else:
             yield comm.bcast(rank, None, root=0)
         node = pm.node
@@ -272,12 +226,7 @@ def run_insitu(
             exchange_span = tracer.begin(
                 "insitu.exchange", cat="insitu", tid=tid
             )
-            if shared:
-                snap = replica.snapshots(sync, at_step=(sync - 1) * cfg.j)[
-                    rank
-                ]
-            else:
-                snap = dd.snapshot(rank, step=sync)
+            snap = replica.snapshots(sync, at_step=(sync - 1) * cfg.j)[rank]
             yield comm.send(rank, dest=pair_rank, payload=snap, tag=sync)
             yield node.compute(
                 PHASES["comm"], snap.n_atoms * SECONDS_PER_EXCHANGE_ATOM
@@ -293,16 +242,9 @@ def run_insitu(
                     "insitu.step", cat="insitu", tid=tid
                 )
                 # steps 1, 5, 6: integrate, neighbor, force
-                if shared:
-                    report, thermo_rec = replica.step_report(
-                        (sync - 1) * cfg.j + k + 1
-                    )
-                else:
-                    report = integrator.step()
-                    # thermo is captured per-step on the owning replica
-                    thermo_rec = (
-                        compute_thermo(system, report) if rank == 0 else None
-                    )
+                report, thermo_rec = replica.step_report(
+                    (sync - 1) * cfg.j + k + 1
+                )
                 yield node.compute(
                     PHASES["integrate"],
                     n_local * SECONDS_PER_ATOM_INTEGRATE,
@@ -355,11 +297,6 @@ def run_insitu(
         managers[rank] = pm
         yield from pm.initialize()
         box_lengths = yield comm.bcast(rank, None, root=0)
-        analyses: list[Analysis] = (
-            ensemble.analyses
-            if shared
-            else [make_analysis(name) for name in cfg.analyses]
-        )
         node = pm.node
         local = rank - cfg.n_sim_ranks
         pair_rank = local  # world rank of paired simulation rank
@@ -382,42 +319,26 @@ def run_insitu(
             slices = yield pm.part_comm.allgather(pm.part_rank, snap)
             exchange_span.end(atoms=snap.n_atoms)
             frame_time = sync * cfg.j * cfg.dt
-            # step 7: run the analyses, charging measured work. On the
-            # fast path the merge + updates run once per sync (first
-            # rank to arrive); every rank still charges the shared
-            # work estimate to its own node.
-            if shared:
-                work = ensemble.update(
-                    sync,
-                    lambda: merge_slices(
-                        slices, box_lengths, time=frame_time
-                    ),
+            # step 7: run the analyses, charging measured work. The
+            # merge + updates run once per sync (first rank to arrive);
+            # every rank still charges the shared work estimate to its
+            # own node.
+            work = ensemble.update(
+                sync,
+                lambda: merge_slices(slices, box_lengths, time=frame_time),
+            )
+            for name in cfg.analyses:
+                analysis_span = tracer.begin(
+                    f"insitu.analysis.{name}", cat="insitu", tid=tid
                 )
-                for a in analyses:
-                    analysis_span = tracer.begin(
-                        f"insitu.analysis.{a.name}", cat="insitu", tid=tid
-                    )
-                    yield node.compute(
-                        ANALYSIS_KIND[a.name],
-                        work[a.name] * SECONDS_PER_ANALYSIS_OP[a.name],
-                    )
-                    analysis_span.end()
-            else:
-                frame = merge_slices(slices, box_lengths, time=frame_time)
-                for a in analyses:
-                    analysis_span = tracer.begin(
-                        f"insitu.analysis.{a.name}", cat="insitu", tid=tid
-                    )
-                    a.update(frame)
-                    yield node.compute(
-                        ANALYSIS_KIND[a.name],
-                        a.work_estimate * SECONDS_PER_ANALYSIS_OP[a.name],
-                    )
-                    analysis_span.end()
+                yield node.compute(
+                    ANALYSIS_KIND[name],
+                    work[name] * SECONDS_PER_ANALYSIS_OP[name],
+                )
+                analysis_span.end()
             sync_span.end()
         if local == 0:
-            for a in analyses:
-                analysis_out[a.name] = a.result()
+            analysis_out.update(ensemble.results())
         return None
 
     def main(rank: int, comm: Communicator):
@@ -429,12 +350,6 @@ def run_insitu(
     fault_mark = faults.log_mark() if faults.enabled else 0
     world.run(main)
     pm0 = managers[0]
-    if shared:
-        hits, misses = pool.cache_stats()
-        hits += ensemble.hits
-        misses += ensemble.misses
-    else:
-        hits = misses = 0
     return InsituResult(
         config=cfg,
         virtual_time_s=engine.now,
@@ -444,8 +359,7 @@ def run_insitu(
         observation_log=list(pm0.observation_log),
         verification_failures=verification_failures[0],
         events_executed=engine.events_executed,
-        shared_replica=shared,
-        replica_hits=hits,
-        replica_misses=misses,
+        replica_hits=replica.hits + ensemble.hits,
+        replica_misses=replica.misses + ensemble.misses,
         fault_events=faults.log_since(fault_mark) if faults.enabled else [],
     )

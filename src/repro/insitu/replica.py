@@ -1,4 +1,4 @@
-"""Shared-replica fast path: compute rank-invariant work once.
+"""Shared replica: compute rank-invariant work once.
 
 The coupler's execution model (see :mod:`repro.insitu.coupler`) has
 every simulation rank advance an *identical replica* of the global
@@ -19,11 +19,11 @@ This module deduplicates that host-side work while leaving the
   integrator; every other rank gets the cached result.
 * :class:`AnalysisEnsemble` owns one instance of each configured
   analysis and runs ``update(frame)`` once per synchronization (one
-  ``_merge_slices`` call instead of N), returning the shared per-
+  :func:`merge_slices` call instead of N), returning the shared per-
   analysis work estimates to every analysis rank.
-* :class:`ReplicaPool` hands out replicas keyed by the physics tuple
-  ``(dim, seed, dt, thermostat_t, n_sim_ranks)`` so a run's ranks all
-  resolve to the same instance.
+
+Each ``run_insitu`` call builds one of each: a replica is a *stateful*
+trajectory, so a fresh run must start from step 0.
 
 Why virtual-time bit-identity is preserved: ranks still perform every
 *virtual* action individually — the sends, allgathers, bcasts,
@@ -32,9 +32,10 @@ and all virtual durations derive from values (atom counts, pair counts,
 rebuild flags, analysis work estimates) that are bit-identical between
 the memoized results and what each rank's private replica would have
 produced. The DES event trajectory, thermo log, analysis results and
-allocation log are therefore unchanged; the property tests in
-``tests/insitu/test_replica.py`` pin this for multiple controllers and
-rank counts.
+allocation log are therefore those of the fully replicated execution;
+``tests/experiments/test_trajectory_equivalence.py`` pins them with
+literals checked against it for four controllers, 2–4 ranks per
+partition and ``j`` of 1 and 2.
 
 Ordering safety: the per-sync world collective (``poli_power_alloc``)
 and the per-step thermo allreduce mean no rank can request step ``t+1``
@@ -42,19 +43,9 @@ and the per-step thermo allreduce mean no rank can request step ``t+1``
 (sync ``s``), so lazy advance-on-first-request is sound. The memoizers
 still assert monotone requests and raise :class:`ReplicaOrderError` on
 any out-of-order access rather than silently serving stale state.
-
-The fast path defaults **on**. Escape hatches, in resolution order:
-``InsituConfig(shared_replica=False)`` explicitly per job, the
-:func:`use_shared_replica` context manager (the CLI's
-``run --no-shared-replica``), and the ``SEESAW_SHARED_REPLICA=0``
-environment variable (inherited by campaign pool workers).
 """
 
 from __future__ import annotations
-
-import os
-from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,70 +58,32 @@ from repro.metrics.registry import get_metrics
 
 __all__ = [
     "AnalysisEnsemble",
-    "ReplicaKey",
     "ReplicaOrderError",
-    "ReplicaPool",
     "SharedReplica",
-    "shared_replica_default",
-    "use_shared_replica",
+    "merge_slices",
 ]
-
-#: module-level override installed by :func:`use_shared_replica`;
-#: ``None`` defers to the environment variable
-_OVERRIDE: bool | None = None
-
-
-def shared_replica_default() -> bool:
-    """Effective default for jobs that don't set the switch explicitly."""
-    if _OVERRIDE is not None:
-        return _OVERRIDE
-    return os.environ.get("SEESAW_SHARED_REPLICA", "1") != "0"
-
-
-@contextmanager
-def use_shared_replica(enabled: bool):
-    """Scope the shared-replica default (and export it to subprocesses
-    via ``SEESAW_SHARED_REPLICA`` so campaign pool workers inherit it)."""
-    global _OVERRIDE
-    prev_override = _OVERRIDE
-    prev_env = os.environ.get("SEESAW_SHARED_REPLICA")
-    _OVERRIDE = bool(enabled)
-    os.environ["SEESAW_SHARED_REPLICA"] = "1" if enabled else "0"
-    try:
-        yield
-    finally:
-        _OVERRIDE = prev_override
-        if prev_env is None:
-            os.environ.pop("SEESAW_SHARED_REPLICA", None)
-        else:
-            os.environ["SEESAW_SHARED_REPLICA"] = prev_env
 
 
 class ReplicaOrderError(RuntimeError):
     """A rank requested replica state out of protocol order."""
 
 
-@dataclass(frozen=True)
-class ReplicaKey:
-    """The physics tuple that makes two sim-rank replicas identical."""
-
-    dim: int
-    seed: int
-    dt: float
-    thermostat_t: float | None
-    n_sim_ranks: int
-
-
 class SharedReplica:
     """One real MD replica memoized across all simulation ranks."""
 
-    def __init__(self, key: ReplicaKey) -> None:
-        self.key = key
-        self.system = water_ion_box(dim=key.dim, seed=key.seed)
+    def __init__(
+        self,
+        dim: int,
+        seed: int,
+        dt: float,
+        thermostat_t: float | None,
+        n_sim_ranks: int,
+    ) -> None:
+        self.system = water_ion_box(dim=dim, seed=seed)
         self.integrator = VelocityVerlet(
-            self.system, dt=key.dt, thermostat_t=key.thermostat_t
+            self.system, dt=dt, thermostat_t=thermostat_t
         )
-        self.dd = DomainDecomposition(self.system, key.n_sim_ranks)
+        self.dd = DomainDecomposition(self.system, n_sim_ranks)
         #: step -> (StepReport, ThermoRecord); the thermo record is
         #: captured at advance time because another rank may advance the
         #: live system before rank 0 gets to its thermo output
@@ -246,37 +199,6 @@ class AnalysisEnsemble:
 
     def results(self) -> dict:
         return {a.name: a.result() for a in self.analyses}
-
-
-class ReplicaPool:
-    """Replicas keyed by their physics tuple.
-
-    A pool is scoped to one ``run_insitu`` invocation: every sim rank
-    of a job acquires the same :class:`SharedReplica` because the job's
-    config maps to one :class:`ReplicaKey`. (Replicas are *stateful*
-    trajectories, so a pool must never be shared between runs — a fresh
-    run must start from step 0.)
-    """
-
-    def __init__(self) -> None:
-        self._replicas: dict[ReplicaKey, SharedReplica] = {}
-
-    def acquire(self, key: ReplicaKey) -> SharedReplica:
-        replica = self._replicas.get(key)
-        if replica is None:
-            replica = SharedReplica(key)
-            self._replicas[key] = replica
-        return replica
-
-    @property
-    def replicas(self) -> int:
-        return len(self._replicas)
-
-    def cache_stats(self) -> tuple[int, int]:
-        """Aggregate (hits, misses) across the pool's replicas."""
-        hits = sum(r.hits for r in self._replicas.values())
-        misses = sum(r.misses for r in self._replicas.values())
-        return hits, misses
 
 
 def merge_slices(

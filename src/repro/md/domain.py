@@ -110,7 +110,7 @@ class DomainDecomposition:
         Computes the atom→rank map and the unwrapped coordinates once
         instead of once per rank; each returned snapshot is bit-identical
         to the corresponding ``snapshot(rank, step)``. This is the
-        shared-replica fast path's extraction kernel.
+        shared replica's extraction kernel.
         """
         sys_ = self.system
         ranks = self.rank_of_atoms()

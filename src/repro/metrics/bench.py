@@ -168,15 +168,13 @@ def _collect_insitu(metrics: dict) -> None:
 
 
 def _collect_insitu_fig2(metrics: dict) -> None:
-    """Fig. 2-scale coupled job with the shared-replica fast path on
-    and off (informational): same virtual trajectory by construction,
-    so the pair of wall times is the measured dedup speedup."""
+    """Fig. 2-scale coupled job wall time (informational)."""
     from repro.cluster.node import THETA_NODE
     from repro.core import SeeSAwController
     from repro.insitu.coupler import InsituConfig, run_insitu
 
-    def one(shared: bool) -> float:
-        cfg = InsituConfig(shared_replica=shared)  # default 4+4, 10 steps
+    def one() -> float:
+        cfg = InsituConfig()  # default 4+4, 10 steps
         controller = SeeSAwController(
             cfg.power_cap_w * cfg.world_size,
             cfg.n_sim_ranks,
@@ -187,19 +185,11 @@ def _collect_insitu_fig2(metrics: dict) -> None:
         run_insitu(cfg, controller)
         return time.perf_counter() - t0
 
-    one(True)  # warm import/jit caches off the clock
-    shared_wall = min(one(True) for _ in range(2))
-    unshared_wall = min(one(False) for _ in range(2))
+    one()  # warm import/jit caches off the clock
     metrics["insitu.fig2.wall_s"] = BenchMetric(
-        value=shared_wall, unit="s", direction="lower", gate=False
-    )
-    metrics["insitu.fig2.unshared.wall_s"] = BenchMetric(
-        value=unshared_wall, unit="s", direction="lower", gate=False
-    )
-    metrics["insitu.fig2.shared_replica_speedup"] = BenchMetric(
-        value=unshared_wall / max(shared_wall, 1e-9),
-        unit="x",
-        direction="higher",
+        value=min(one() for _ in range(2)),
+        unit="s",
+        direction="lower",
         gate=False,
     )
 

@@ -190,7 +190,6 @@ class RaplDomainArray:
             )
             self._tracer.counter("power.caps_requested", cat="power").inc()
         if self._metrics is not None:
-            self._metrics.counter("power.caps_requested").inc()
             # magnitude of the requested move per node — how hard the
             # controller is steering
             self._metrics.histogram("power.cap_change_w").observe(
@@ -225,7 +224,6 @@ class RaplDomainArray:
                 )
                 self._tracer.counter("power.caps_applied", cat="power").inc()
             if self._metrics is not None:
-                self._metrics.counter("power.caps_applied").inc()
                 self._metrics.gauge("power.mean_cap_w").set(float(caps.mean()))
 
     def segment_at(self, t: float) -> tuple[np.ndarray, float]:

@@ -82,6 +82,12 @@ def test_unequal_partitions_rejected():
         make_cfg(n_sim_ranks=2, n_ana_ranks=3)
 
 
+def test_trailing_steps_rejected():
+    # 7 steps at j=2 would run 3 syncs = 6 steps and drop the seventh
+    with pytest.raises(ValueError, match="not a multiple of j=2"):
+        make_cfg(n_verlet_steps=7, j=2)
+
+
 def test_mismatched_controller_rejected():
     cfg = make_cfg()
     wrong = StaticController(330.0, 1, 2, THETA_NODE)

@@ -101,6 +101,39 @@ def test_metrics_sink_composes_with_use_tracer():
     assert reg.histogram("span.y.s").count == 1
 
 
+def test_insitu_run_reports_each_family_under_one_type():
+    """A traced in-situ job under ``run --metrics``'s wiring: every
+    name lives under exactly one instrument type, so the Prometheus
+    exposition has one ``# TYPE`` line per family."""
+    from repro.cluster.node import THETA_NODE
+    from repro.core import SeeSAwController
+    from repro.insitu import InsituConfig, run_insitu
+
+    reg = MetricRegistry()
+    cfg = InsituConfig(n_sim_ranks=2, n_ana_ranks=2, n_verlet_steps=4)
+    with use_metrics(reg), use_tracer(Tracer(MetricsSink(reg))):
+        run_insitu(
+            cfg,
+            SeeSAwController(
+                cfg.world_size * cfg.power_cap_w, 2, 2, THETA_NODE
+            ),
+        )
+    data = reg.report().to_json()
+    seen: dict[str, str] = {}
+    for kind, entries in data.items():
+        for name in entries:
+            assert name not in seen, f"{name}: {seen[name]} and {kind}"
+            seen[name] = kind
+    for name in ("power.caps_requested", "power.caps_applied", "insitu.sync_waits"):
+        assert name in seen, name
+    families = [
+        line.split()[2]
+        for line in reg.report().to_prometheus().splitlines()
+        if line.startswith("# TYPE ")
+    ]
+    assert len(families) == len(set(families))
+
+
 # ---------------------------------------------------------------------------
 # reports
 

@@ -153,9 +153,15 @@ def test_validate_faults_chaos_exclusive():
 
 
 def test_validate_bad_insitu_key():
-    spec = ScenarioSpec(name="t", insitu={"frobnicate": 1})
-    problems = validate_spec(spec)
-    assert any("frobnicate" in p for p in problems)
+    # shared_replica was an InsituConfig field until the per-rank
+    # execution path was removed; a spec still setting it must fail
+    for doc in ({"frobnicate": 1}, {"shared_replica": False}):
+        problems = validate_spec(ScenarioSpec(name="t", insitu=doc))
+        (key,) = doc
+        assert any(
+            p.startswith("t.insitu: unknown key(s)") and key in p
+            for p in problems
+        ), problems
 
 
 # ------------------------------------------------------------ to_cells
